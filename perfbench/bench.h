@@ -73,7 +73,9 @@ const char* FaultCheck(Fault fault);
 struct Options {
   std::string workload;
   uint64_t seed = 1;
-  double seconds = 10.0;
+  /// Length of the timed phase; required, since the bounds in
+  /// BENCHMARK.json hold only for its run_seconds.
+  double seconds = 0.0;
   bool trace = false;
   /// Directory for checkpoints and span files (inside the checkout).
   std::string work_dir = ".bench_build/perfbench-work";

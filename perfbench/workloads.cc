@@ -10,10 +10,13 @@
 // rounds of point queries at several horizons, 256-id batch queries, a
 // top-k scan, a trickle of ingest into random items, retirement sweeps
 // and checkpoint/restore cycles, all at one frozen stream time.
+#include <fcntl.h>
 #include <malloc.h>
-#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -54,9 +57,9 @@ constexpr size_t kProbeItemsPerRound = 1024;
 constexpr size_t kBatchesPerRound = 8;
 constexpr size_t kBatchIds = 256;
 constexpr size_t kQueriesScanK = 100;
-constexpr int kRetireEveryRounds = 4;
+constexpr int kRetireEveryRounds = 3;
 constexpr int kVerifyScanEveryRounds = 16;
-constexpr int kCheckpointEveryRounds = 12;
+constexpr int kCheckpointEveryRounds = 6;
 
 // Checks.
 constexpr size_t kRecordEvery = 16;        // answers kept for replay/tau
@@ -83,11 +86,64 @@ double HeapBytes() {
   return static_cast<double>(m.uordblks) + static_cast<double>(m.hblkhd);
 }
 
-double PeakRssMb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
+/// Peak resident memory the service adds.  The process's own high-water
+/// mark would mostly measure the benchmark: its generated inputs, ground
+/// truth and set-up allocations.  So the baseline is the resident set once
+/// those exist, after malloc_trim has handed back what set-up freed (else
+/// the service reuses freed heap and RSS under-reads), and a thread samples
+/// the resident set every 2 ms until Stop(), so the peak inside a long call
+/// (Checkpoint copies every item of a shard before writing) is seen too.
+class ResidentSampler {
+ public:
+  ResidentSampler() : fd_(::open("/proc/self/statm", O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) {
+      std::perror("perfbench: /proc/self/statm");
+      std::exit(2);
+    }
+    malloc_trim(0);
+    baseline_ = peak_ = Pages();
+    thread_ = std::thread([this] {
+      while (!stop_.load(std::memory_order_relaxed)) {
+        peak_ = std::max(peak_, Pages());
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+  }
+  ~ResidentSampler() {
+    Stop();
+    ::close(fd_);
+  }
+  ResidentSampler(const ResidentSampler&) = delete;
+  ResidentSampler& operator=(const ResidentSampler&) = delete;
+
+  /// Ends sampling; returns the peak above the baseline in MB (10^6 bytes).
+  double Stop() {
+    if (thread_.joinable()) {
+      stop_.store(true, std::memory_order_relaxed);
+      thread_.join();
+      peak_ = std::max(peak_, Pages());
+    }
+    return static_cast<double>(peak_ - std::min(peak_, baseline_)) *
+           static_cast<double>(::sysconf(_SC_PAGESIZE)) * 1e-6;
+  }
+
+ private:
+  /// Resident pages, the second field of /proc/self/statm.
+  uint64_t Pages() const {
+    char buf[128];
+    const ssize_t n = ::pread(fd_, buf, sizeof buf - 1, 0);
+    if (n <= 0) return 0;
+    buf[n] = '\0';
+    unsigned long long size = 0, resident = 0;
+    return std::sscanf(buf, "%llu %llu", &size, &resident) == 2 ? resident : 0;
+  }
+
+  int fd_;
+  uint64_t baseline_ = 0;
+  uint64_t peak_ = 0;  // written by the sampling thread until Stop() joins it
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 double Percentile(std::vector<uint32_t> values, double q) {
   if (values.empty()) return 0.0;
@@ -283,6 +339,12 @@ class Driver {
   // Shadow layers (traced rounds).
   void ShadowObserve(int64_t id, EngagementType type, double t, uint32_t parent,
                      uint64_t request);
+  /// Snapshot + extract of `ids` at `s` from the shadow trackers into `x`
+  /// (sized ids.size() rows); returns the summed duration of the two layer
+  /// calls.  `observed` gets each item's view count.
+  uint64_t ShadowExtract(const std::vector<int64_t>& ids, double s, uint32_t parent,
+                         uint64_t request, gbdt::ExampleBatch* x,
+                         std::vector<double>* observed);
   /// Snapshot + extract + forests + PredictCountBatch over `ids`; returns
   /// the summed duration of the layer calls.
   uint64_t ShadowPredict(const std::vector<int64_t>& ids, double s, double delta,
@@ -300,6 +362,14 @@ class Driver {
   serving::ServiceConfig config_;
   std::unique_ptr<serving::PredictionService> service_;
   std::string ckpt_dir_;
+  // From just before the first service exists to the end of the first
+  // round (replays) or block of rounds (horizon_queries), a fixed amount of
+  // work: resident memory keeps creeping up over further checkpoint/restore
+  // cycles (README.md, "End-to-end metrics"), so a peak over the whole run
+  // would depend on how many cycles the host fits into it.  Untraced runs
+  // only.
+  std::optional<ResidentSampler> resident_;
+  double service_peak_mb_ = 0.0;
 
   std::vector<ItemBook> book_;
   std::vector<int64_t> live_;  // registered, not retired (horizon_queries)
@@ -492,33 +562,42 @@ void Driver::Triple(int64_t id, double s) {
   CheckHorizonSet(answers, &checks_);
 }
 
+uint64_t Driver::ShadowExtract(const std::vector<int64_t>& ids, double s,
+                               uint32_t parent, uint64_t request, gbdt::ExampleBatch* x,
+                               std::vector<double>* observed) {
+  const size_t n = ids.size();
+  std::vector<stream::TrackerSnapshot> snaps(n);
+  uint64_t t0 = NowNs();
+  for (size_t i = 0; i < n; ++i) snaps[i] = shadow_[static_cast<size_t>(ids[i])]->Snapshot(s);
+  uint64_t t1 = NowNs();
+  tracer_.Add(SpanName::kStreamSnapshot, parent, request, t0, t1);
+  snapshot_ns_.ns += static_cast<double>(t1 - t0);
+  snapshot_ns_.rows += n;
+  uint64_t layers = t1 - t0;
+  t0 = NowNs();
+  for (size_t i = 0; i < n; ++i) {
+    model_.extractor.ExtractIntoStrided(Page(ids[i]), Post(ids[i]), snaps[i],
+                                        x->MutableRowBase(i), x->feature_stride());
+  }
+  t1 = NowNs();
+  tracer_.Add(SpanName::kFeaturesExtract, parent, request, t0, t1);
+  extract_ns_.ns += static_cast<double>(t1 - t0);
+  extract_ns_.rows += n;
+  layers += t1 - t0;
+  observed->resize(n);
+  for (size_t i = 0; i < n; ++i) (*observed)[i] = static_cast<double>(snaps[i].views().total);
+  return layers;
+}
+
 uint64_t Driver::ShadowPredict(const std::vector<int64_t>& ids, double s,
                                double delta, uint32_t parent, uint64_t request,
                                bool split_forests) {
   uint64_t layers = 0;
   Excluded([&] {
     const size_t n = ids.size();
-    std::vector<stream::TrackerSnapshot> snaps(n);
-    uint64_t t0 = NowNs();
-    for (size_t i = 0; i < n; ++i) snaps[i] = shadow_[static_cast<size_t>(ids[i])]->Snapshot(s);
-    uint64_t t1 = NowNs();
-    tracer_.Add(SpanName::kStreamSnapshot, parent, request, t0, t1);
-    snapshot_ns_.ns += static_cast<double>(t1 - t0);
-    snapshot_ns_.rows += n;
-    layers += t1 - t0;
     gbdt::ExampleBatch x(n, model_.extractor.schema().size());
-    std::vector<double> observed(n);
-    t0 = NowNs();
-    for (size_t i = 0; i < n; ++i) {
-      model_.extractor.ExtractIntoStrided(Page(ids[i]), Post(ids[i]), snaps[i],
-                                          x.MutableRowBase(i), x.feature_stride());
-    }
-    t1 = NowNs();
-    tracer_.Add(SpanName::kFeaturesExtract, parent, request, t0, t1);
-    extract_ns_.ns += static_cast<double>(t1 - t0);
-    extract_ns_.rows += n;
-    layers += t1 - t0;
-    for (size_t i = 0; i < n; ++i) observed[i] = static_cast<double>(snaps[i].views().total);
+    std::vector<double> observed;
+    layers += ShadowExtract(ids, s, parent, request, &x, &observed);
     uint64_t forests = 0;
     if (split_forests) {
       const auto time_forest = [&](const gbdt::GbdtRegressor& forest) {
@@ -535,10 +614,10 @@ uint64_t Driver::ShadowPredict(const std::vector<int64_t>& ids, double s,
     }
     const std::vector<double> deltas(n, delta);
     std::vector<double> alphas;
-    t0 = NowNs();
+    const uint64_t t0 = NowNs();
     const std::vector<double> counts =
         model_.predictor.PredictCountBatch(x, observed, deltas, &alphas);
-    t1 = NowNs();
+    const uint64_t t1 = NowNs();
     tracer_.Add(SpanName::kCorePredictCountBatch, parent, request, t0, t1);
     layers += t1 - t0;
     if (split_forests && n > 0) {
@@ -615,29 +694,12 @@ void Driver::Scan(double s, double delta, size_t k, bool verify) {
     // walks the alpha forest for the k winners only.
     uint64_t layers = 0;
     Excluded([&] {
-      const size_t n = live.size();
-      std::vector<stream::TrackerSnapshot> snaps(n);
-      uint64_t a0 = NowNs();
-      for (size_t i = 0; i < n; ++i) snaps[i] = shadow_[static_cast<size_t>(live[i])]->Snapshot(s);
-      uint64_t a1 = NowNs();
-      tracer_.Add(SpanName::kStreamSnapshot, parent, request_, a0, a1);
-      snapshot_ns_.ns += static_cast<double>(a1 - a0);
-      snapshot_ns_.rows += n;
-      layers += a1 - a0;
-      gbdt::ExampleBatch x(n, model_.extractor.schema().size());
-      a0 = NowNs();
-      for (size_t i = 0; i < n; ++i) {
-        model_.extractor.ExtractIntoStrided(Page(live[i]), Post(live[i]), snaps[i],
-                                            x.MutableRowBase(i), x.feature_stride());
-      }
-      a1 = NowNs();
-      tracer_.Add(SpanName::kFeaturesExtract, parent, request_, a0, a1);
-      extract_ns_.ns += static_cast<double>(a1 - a0);
-      extract_ns_.rows += n;
-      layers += a1 - a0;
-      a0 = NowNs();
+      gbdt::ExampleBatch x(live.size(), model_.extractor.schema().size());
+      std::vector<double> observed;
+      layers += ShadowExtract(live, s, parent, request_, &x, &observed);
+      const uint64_t a0 = NowNs();
       const std::vector<double> inc = model_.predictor.PredictIncrementBatch(x, delta);
-      a1 = NowNs();
+      const uint64_t a1 = NowNs();
       tracer_.Add(SpanName::kCorePredictIncrementBatch, parent, request_, a0, a1);
       layers += a1 - a0;
     });
@@ -832,6 +894,7 @@ void Driver::CheckpointCycle(double s) {
 void Driver::RunReplay(uint64_t start_ns, RunResult* result) {
   const size_t n = in_.data.cascades.size();
   main_is_ingest_ = true;
+  if (!options_.trace) resident_.emplace();
   if (options_.trace) {
     // Heap growth per item of a fresh service holding the whole stream.
     obs::MetricsRegistry scratch_registry;
@@ -915,6 +978,7 @@ void Driver::RunReplay(uint64_t start_ns, RunResult* result) {
       }
     }
     EndRound();
+    if (round == 0 && resident_) service_peak_mb_ = resident_->Stop();
   }
   service_.reset();
   Finish(async_ ? "replay_async" : "replay_sync", setup_end - start_ns, result);
@@ -926,6 +990,7 @@ void Driver::RunQueries(uint64_t start_ns, RunResult* result) {
   // staggered ages between zero and the whole period.
   const double t_now = in_.data.config.posting_period;
   book_.assign(n, ItemBook{});
+  if (!options_.trace) resident_.emplace();
   const double h0 = HeapBytes();
   service_ = NewService(config_);
   // Registration is part of set-up here; a traced run traces it.
@@ -1011,6 +1076,7 @@ void Driver::RunQueries(uint64_t start_ns, RunResult* result) {
     }
     if (traced_) Scrape();
     EndRound();
+    if (round == kCheckpointEveryRounds - 1 && resident_) service_peak_mb_ = resident_->Stop();
   }
   service_.reset();
   Finish("horizon_queries", setup_end - start_ns, result);
@@ -1089,7 +1155,7 @@ void Driver::Finish(const char* workload, uint64_t setup_ns, RunResult* result) 
                                   ops_.restore.attempted), "ms");
     result->Add("checkpoint_mb", per(static_cast<double>(ops_.checkpoint.items) * 1e-6,
                                      ops_.checkpoint.attempted), "MB");
-    result->Add("peak_rss_mb", PeakRssMb(), "MB");
+    result->Add("peak_rss_mb", service_peak_mb_, "MB");
     return;
   }
 
