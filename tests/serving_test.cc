@@ -326,6 +326,9 @@ TEST_F(PredictionServiceTest, BatchQueryScanMatchesTopKShim) {
       ASSERT_TRUE(service.Ingest(i, stream::EngagementType::kView, e.time).ok());
     }
   }
+  // Async mode: without the barrier the published views may still advance
+  // between the scan and the TopK call below.
+  ASSERT_TRUE(service.Flush().ok());
   QueryRequest scan;
   scan.s = s;
   scan.delta = kDay;
