@@ -1,16 +1,21 @@
 // Figure 2: mean clock time (ms) to produce one prediction as a function
 // of the normalized observed cascade size N(s), for the proposed Hawkes
-// model (constant: a few GBDT inferences over O(1)-state features) and
-// SEISMIC-CF (linear: a pass over the full event history).
+// model (constant: an O(1) tracker snapshot, feature extraction and a few
+// GBDT inferences) and SEISMIC-CF (linear: a pass over the full event
+// history).  Each side's per-item state -- a CascadeTracker for HWK, the
+// event history for SEISMIC -- is built outside the timed loops.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "baselines/seismic.h"
 #include "common/table.h"
+#include "common/check.h"
 #include "common/timer.h"
 #include "core/hawkes_predictor.h"
 #include "eval/experiment.h"
+#include "stream/cascade_tracker.h"
 
 namespace {
 using namespace horizon;
@@ -33,6 +38,9 @@ int main() {
   hwk.Fit(data.train.x, data.train.log1p_increments, data.train.alpha_targets);
 
   baselines::SeismicCf seismic;
+  const features::FeatureExtractor& extractor = *data.extractor;
+  stream::TrackerSnapshot snapshot;
+  std::vector<float> row(extractor.schema().size());
 
   // Pool all examples (train + test) and bin them by observed size N(s).
   struct Item {
@@ -51,6 +59,8 @@ int main() {
   double mean_size = 0.0;
   for (const auto& it : items) mean_size += static_cast<double>(it.n_s);
   mean_size /= static_cast<double>(items.size());
+  std::printf("mean N(s) over %zu test items: %.1f (the size normalizer)\n\n",
+              items.size(), mean_size);
 
   // Log-spaced bins of N(s).
   const std::vector<double> bin_edges = {0, 10, 30, 100, 300, 1000, 3000, 10000,
@@ -68,9 +78,12 @@ int main() {
     }
     if (bin.empty()) continue;
 
-    // Pre-extract SEISMIC's event histories (memory cost of the baseline).
+    // Per-item state of each method: SEISMIC's event history (the memory
+    // cost of the baseline) and HWK's O(1) tracker, fed up to s.
     std::vector<std::vector<double>> histories;
+    std::vector<stream::CascadeTracker> trackers;
     histories.reserve(bin.size());
+    trackers.reserve(bin.size());
     double bin_mean = 0.0;
     for (const Item* it : bin) {
       std::vector<double> times;
@@ -80,9 +93,27 @@ int main() {
         times.push_back(e.time);
       }
       histories.push_back(std::move(times));
+      trackers.push_back(extractor.ReplayTracker(cascade, it->s));
       bin_mean += static_cast<double>(it->n_s);
     }
     bin_mean /= static_cast<double>(bin.size());
+
+    // HWK's timed work per prediction: snapshot the tracker, extract the
+    // feature row, run the forests.  The row must be the one the model
+    // was evaluated on.
+    const auto hwk_predict = [&](size_t k) {
+      const Item& it = *bin[k];
+      const auto& cascade = data.dataset.cascades[it.cascade_index];
+      trackers[k].SnapshotInto(it.s, &snapshot);
+      extractor.ExtractInto(data.dataset.PageOf(cascade.post), cascade.post,
+                            snapshot, row.data());
+      return hwk.PredictIncrement(row.data(), 2 * kDay);
+    };
+    for (size_t k = 0; k < bin.size(); ++k) {
+      (void)hwk_predict(k);
+      HORIZON_CHECK(std::memcmp(row.data(), bin[k]->row,
+                                row.size() * sizeof(float)) == 0);
+    }
 
     // Repeat to get stable timings for cheap predictions.
     const int reps = static_cast<int>(std::max(1.0, 20000.0 / bin.size() /
@@ -92,8 +123,8 @@ int main() {
 
     Timer hwk_timer;
     for (int r = 0; r < reps; ++r) {
-      for (const Item* it : bin) {
-        *sink = *sink + hwk.PredictIncrement(it->row, 2 * kDay);
+      for (size_t k = 0; k < bin.size(); ++k) {
+        *sink = *sink + hwk_predict(k);
       }
     }
     const double hwk_ms =

@@ -1,9 +1,14 @@
 // Micro-benchmark (google-benchmark): the stream substrate.  DGIM
 // exponential-histogram Add/Count vs the exact sliding window, plus the
-// memory footprint that makes O(1)-state tracking feasible per item.
+// memory footprint that makes O(1)-state tracking feasible per item, and
+// the two per-query stages built on it: the tracker snapshot and the
+// feature extraction of one row.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "datagen/profiles.h"
+#include "features/extractor.h"
+#include "gbdt/dataset.h"
 #include "stream/cascade_tracker.h"
 #include "stream/exponential_histogram.h"
 #include "stream/sliding_window.h"
@@ -81,6 +86,53 @@ void BM_CascadeTrackerSnapshot(benchmark::State& state) {
   // number of observed events (compare across /1000 /100000).
 }
 BENCHMARK(BM_CascadeTrackerSnapshot)->Arg(1000)->Arg(100000);
+
+// Snapshot into one reused TrackerSnapshot: the form the serving query
+// paths use, so no vector is allocated after the first call.
+void BM_CascadeTrackerSnapshotInto(benchmark::State& state) {
+  CascadeTracker tracker(0.0, TrackerConfig{});
+  double t = 0.0;
+  Rng rng(4);
+  for (int i = 0; i < state.range(0); ++i) {
+    t += rng.Exponential(0.5);
+    tracker.Observe(EngagementType::kView, t);
+  }
+  TrackerSnapshot snapshot;
+  for (auto _ : state) {
+    tracker.SnapshotInto(t, &snapshot);
+    benchmark::DoNotOptimize(snapshot);
+  }
+}
+BENCHMARK(BM_CascadeTrackerSnapshotInto)->Arg(1000)->Arg(100000);
+
+// One ExtractIntoStrided row into a 256-row column-major batch, the
+// layout the serving paths fill; the snapshot is taken once, outside.
+void BM_FeatureExtract(benchmark::State& state) {
+  CascadeTracker tracker(0.0, TrackerConfig{});
+  double t = 0.0;
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    t += rng.Exponential(0.5);
+    tracker.Observe(static_cast<EngagementType>(i % kNumEngagementTypes), t);
+  }
+  const TrackerSnapshot snapshot = tracker.Snapshot(t);
+  const features::FeatureExtractor extractor(TrackerConfig{});
+  const datagen::PageProfile page{};
+  const datagen::PostProfile post{};
+  constexpr size_t kRows = 256;
+  gbdt::ExampleBatch batch(kRows, extractor.schema().size());
+  size_t row = 0;
+  for (auto _ : state) {
+    extractor.ExtractIntoStrided(page, post, snapshot,
+                                 batch.MutableRowBase(row),
+                                 batch.feature_stride());
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+    row = (row + 1) % kRows;
+  }
+  state.counters["features"] = static_cast<double>(extractor.schema().size());
+}
+BENCHMARK(BM_FeatureExtract);
 
 }  // namespace
 

@@ -1,7 +1,9 @@
 #include "features/extractor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -29,11 +31,21 @@ FeatureCategory CategoryOf(EngagementType type) {
   return FeatureCategory::kOther;
 }
 
-std::string WindowLabel(double seconds) { return FormatDuration(seconds); }
+/// Builds a feature name.  Names reach EmitAll either as string literals
+/// or as callables that compose them (stream prefix, window label); only
+/// the schema sink calls NameOf, so extraction does no string work.
+template <typename Name>
+std::string NameOf(const Name& name) {
+  if constexpr (std::is_invocable_v<const Name&>) {
+    return name();
+  } else {
+    return std::string(name);
+  }
+}
 
 /// Emits every feature as (name, category, value) in a fixed order.  Both
 /// schema construction and extraction flow through this single routine, so
-/// they can never drift apart.
+/// they can never drift apart.  See NameOf for how names are passed.
 template <typename Emit>
 void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
              const TrackerSnapshot& snap, const TrackerConfig& cfg, Emit&& emit) {
@@ -41,8 +53,10 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
 
   // --- Content features ---
   for (int m = 0; m < datagen::kNumMediaTypes; ++m) {
-    emit(std::string("content/media_") +
-             datagen::MediaTypeName(static_cast<datagen::MediaType>(m)),
+    emit([m] {
+           return std::string("content/media_") +
+                  datagen::MediaTypeName(static_cast<datagen::MediaType>(m));
+         },
          FC::kContent, static_cast<int>(post.media) == m ? 1.0f : 0.0f);
   }
   emit("content/language", FC::kContent, static_cast<float>(post.language));
@@ -61,8 +75,10 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
   emit("page/age_days", FC::kPage, static_cast<float>(page.page_age_days));
   emit("page/verified", FC::kPage, static_cast<float>(page.verified));
   for (int c = 0; c < datagen::kNumPageCategories; ++c) {
-    emit(std::string("page/category_") +
-             datagen::PageCategoryName(static_cast<datagen::PageCategory>(c)),
+    emit([c] {
+           return std::string("page/category_") +
+                  datagen::PageCategoryName(static_cast<datagen::PageCategory>(c));
+         },
          FC::kPage, static_cast<int>(page.category) == c ? 1.0f : 0.0f);
   }
 
@@ -83,28 +99,38 @@ void EmitAll(const datagen::PageProfile& page, const datagen::PostProfile& post,
     const auto type = static_cast<EngagementType>(t);
     const StreamSnapshot& s = snap.streams[t];
     const FC cat = CategoryOf(type);
-    const std::string prefix = std::string(stream::EngagementTypeName(type)) + "s/";
+    // "<type>s/<stem>" and "<type>s/<stem><window label>".
+    const auto named = [type](const char* stem) {
+      return [type, stem] {
+        return std::string(stream::EngagementTypeName(type)) + "s/" + stem;
+      };
+    };
+    const auto windowed = [type](const char* stem, double seconds) {
+      return [type, stem, seconds] {
+        return std::string(stream::EngagementTypeName(type)) + "s/" + stem +
+               FormatDuration(seconds);
+      };
+    };
 
-    emit(prefix + "log1p_total", cat, Log1p(static_cast<double>(s.total)));
+    emit(named("log1p_total"), cat, Log1p(static_cast<double>(s.total)));
     for (size_t w = 0; w < cfg.window_lengths.size(); ++w) {
-      const std::string label = WindowLabel(cfg.window_lengths[w]);
-      emit(prefix + "log1p_last_" + label, cat,
+      emit(windowed("log1p_last_", cfg.window_lengths[w]), cat,
            Log1p(static_cast<double>(s.window_counts[w])));
-      emit(prefix + "rate_per_h_last_" + label, cat,
+      emit(windowed("rate_per_h_last_", cfg.window_lengths[w]), cat,
            static_cast<float>(s.window_rates[w] * kHour));
     }
     for (size_t l = 0; l < cfg.landmark_ages.size(); ++l) {
-      emit(prefix + "log1p_first_" + WindowLabel(cfg.landmark_ages[l]), cat,
+      emit(windowed("log1p_first_", cfg.landmark_ages[l]), cat,
            Log1p(static_cast<double>(s.landmark_counts[l])));
     }
-    emit(prefix + "log1p_ewma_per_h", cat, Log1p(s.ewma_rate * kHour));
-    emit(prefix + "mean_event_age_h", cat,
+    emit(named("log1p_ewma_per_h"), cat, Log1p(s.ewma_rate * kHour));
+    emit(named("mean_event_age_h"), cat,
          static_cast<float>(s.mean_event_age / kHour));
-    emit(prefix + "first_event_age_h", cat,
+    emit(named("first_event_age_h"), cat,
          static_cast<float>(s.first_event_age / kHour));
-    emit(prefix + "last_event_age_h", cat,
+    emit(named("last_event_age_h"), cat,
          static_cast<float>(s.last_event_age / kHour));
-    emit(prefix + "recency_h", cat,
+    emit(named("recency_h"), cat,
          static_cast<float>(s.last_event_age >= 0.0
                                 ? (snap.age - s.last_event_age) / kHour
                                 : -1.0));
@@ -159,8 +185,8 @@ FeatureExtractor::FeatureExtractor(const stream::TrackerConfig& tracker_config)
   const datagen::PostProfile post{};
   const TrackerSnapshot snap = DummySnapshot(tracker_config_);
   EmitAll(page, post, snap, tracker_config_,
-          [this](std::string name, FeatureCategory cat, float /*value*/) {
-            schema_.Add(std::move(name), cat);
+          [this](const auto& name, FeatureCategory cat, float /*value*/) {
+            schema_.Add(NameOf(name), cat);
           });
 }
 
@@ -184,8 +210,9 @@ void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
                                           const datagen::PostProfile& post,
                                           const stream::TrackerSnapshot& snapshot,
                                           float* out, size_t stride) const {
-  // Extraction runs in tight per-row loops (one call is ~100 ns), so the
-  // trace hook is a sampled latency probe plus a wait-free row counter.
+  // Extraction runs in tight per-row loops (one row costs well under a
+  // microsecond), so the trace hook is a sampled latency probe plus a
+  // wait-free row counter.
   static obs::Histogram* const extract_latency =
       obs::MetricsRegistry::Global().GetHistogram(
           "horizon_features_extract_latency_seconds");
@@ -196,14 +223,14 @@ void FeatureExtractor::ExtractIntoStrided(const datagen::PageProfile& page,
   rows_extracted->Increment();
   size_t i = 0;
   EmitAll(page, post, snapshot, tracker_config_,
-          [&](const std::string& /*name*/, FeatureCategory /*cat*/, float value) {
+          [&](const auto& /*name*/, FeatureCategory /*cat*/, float value) {
             HORIZON_DCHECK(std::isfinite(value));
             out[i++ * stride] = value;
           });
   HORIZON_CHECK_EQ(i, schema_.size());
 }
 
-stream::TrackerSnapshot FeatureExtractor::ReplaySnapshot(
+stream::CascadeTracker FeatureExtractor::ReplayTracker(
     const datagen::Cascade& cascade, double observe_age) const {
   stream::CascadeTracker tracker(0.0, tracker_config_);
   for (const auto& e : cascade.views) {
@@ -222,7 +249,12 @@ stream::TrackerSnapshot FeatureExtractor::ReplaySnapshot(
     if (t >= observe_age) break;
     tracker.Observe(EngagementType::kReaction, t);
   }
-  return tracker.Snapshot(observe_age);
+  return tracker;
+}
+
+stream::TrackerSnapshot FeatureExtractor::ReplaySnapshot(
+    const datagen::Cascade& cascade, double observe_age) const {
+  return ReplayTracker(cascade, observe_age).Snapshot(observe_age);
 }
 
 }  // namespace horizon::features

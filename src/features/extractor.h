@@ -47,8 +47,12 @@ class FeatureExtractor {
                           size_t stride) const;
 
   /// Convenience: replays a generated cascade's engagement events with age
-  /// < observe_age into a fresh tracker and returns its snapshot.  (Real
-  /// deployments keep trackers incrementally; experiments replay.)
+  /// < observe_age into a fresh tracker (created at age 0) and returns it.
+  /// (Real deployments keep trackers incrementally; experiments replay.)
+  stream::CascadeTracker ReplayTracker(const datagen::Cascade& cascade,
+                                       double observe_age) const;
+
+  /// ReplayTracker(cascade, observe_age).Snapshot(observe_age).
   stream::TrackerSnapshot ReplaySnapshot(const datagen::Cascade& cascade,
                                          double observe_age) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -69,6 +70,19 @@ void ExampleBatch::CopyRowTo(size_t row, float* out) const {
   for (size_t f = 0; f < num_features_; ++f) {
     out[f] = values_[f * num_rows_ + row];
   }
+}
+
+void ExampleBatch::TruncateRows(size_t num_rows) {
+  HORIZON_CHECK_LE(num_rows, num_rows_);
+  if (num_rows == num_rows_) return;
+  // Column f moves from offset f * num_rows_ down to f * num_rows; the
+  // destination never reaches a column that is still to be moved.
+  for (size_t f = 1; f < num_features_; ++f) {
+    std::memmove(values_.data() + f * num_rows, values_.data() + f * num_rows_,
+                 num_rows * sizeof(float));
+  }
+  num_rows_ = num_rows;
+  values_.resize(num_rows * num_features_);
 }
 
 BinnedDataset BinnedDataset::Create(const DataMatrix& data, int max_bins) {

@@ -66,6 +66,11 @@ class ExampleBatch {
   /// escape hatch for per-row consumers such as single-row Predict.
   void CopyRowTo(size_t row, float* out) const;
 
+  /// Keeps the first `num_rows` (<= num_rows()) rows, compacting the
+  /// columns in place.  Lets a caller size a batch for every candidate,
+  /// fill rows as candidates qualify, then drop the unused tail.
+  void TruncateRows(size_t num_rows);
+
   const float* data() const { return values_.data(); }
   size_t feature_stride() const { return num_rows_; }
   size_t num_rows() const { return num_rows_; }

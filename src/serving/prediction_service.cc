@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/file_io.h"
@@ -40,6 +41,16 @@ uint64_t ElapsedNs(SteadyClock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() -
                                                            start)
           .count());
+}
+
+/// Events of every type an item has taken: a retire sweep that judged an
+/// item at one count must not erase it at another.
+uint64_t EventCount(const stream::CascadeTracker& tracker) {
+  uint64_t n = 0;
+  for (int t = 0; t < stream::kNumEngagementTypes; ++t) {
+    n += tracker.TotalCount(static_cast<stream::EngagementType>(t));
+  }
+  return n;
 }
 
 double PredictedIncrement(const ItemPrediction& p) {
@@ -471,15 +482,17 @@ size_t PredictionService::IngestBatch(const std::vector<IngestEvent>& events) {
 
 StatusOr<QueryResponse> PredictionService::QueryByIds(
     const QueryRequest& request) const {
-  struct Resolved {
-    int64_t id;
-    stream::TrackerSnapshot snapshot;
-    datagen::PageProfile page;
-    datagen::PostProfile post;
-  };
   QueryResponse response;
-  std::vector<Resolved> resolved;
-  resolved.reserve(request.ids.size());
+  // Each resolved item is extracted straight into its row of the SoA batch
+  // while its shard lock (sync) or the epoch guard (async) is held, through
+  // one reused snapshot, so no per-item copy outlives the lookup.  Rows are
+  // sized for every id and trimmed to the resolved ones afterwards.
+  gbdt::ExampleBatch x(request.ids.size(), extractor_->schema().size());
+  std::vector<int64_t> ids;
+  std::vector<double> observed;
+  ids.reserve(request.ids.size());
+  observed.reserve(request.ids.size());
+  stream::TrackerSnapshot snapshot;
   const auto resolve = [&](int64_t id, const Item* item) {
     if (item == nullptr) {
       response.errors.push_back(
@@ -491,8 +504,12 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
           {id, CountError(Status::NotYetLive("item goes live after s"))});
       return;
     }
-    resolved.push_back(
-        {id, item->tracker.Snapshot(request.s), item->page, item->post});
+    item->tracker.SnapshotInto(request.s, &snapshot);
+    extractor_->ExtractIntoStrided(item->page, item->post, snapshot,
+                                   x.MutableRowBase(ids.size()),
+                                   x.feature_stride());
+    ids.push_back(id);
+    observed.push_back(static_cast<double>(snapshot.views().total));
   };
   if (async_) {
     // Lock-free: every lookup reads the shard's published (frozen) view
@@ -515,29 +532,21 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
       resolve(id, it == shard.items.end() ? nullptr : it->second.get());
     }
   }
-  if (resolved.empty()) return response;
+  if (ids.empty()) return response;
+  x.TruncateRows(ids.size());
 
   // Inference runs outside the shard locks, batched over every resolved
-  // item: one vectorized-forest pass per model.  The extractor writes the
-  // column-major SoA batch in place (strided emit), so the SIMD kernels
-  // consume it without a transposition pass.
-  gbdt::ExampleBatch x(resolved.size(), extractor_->schema().size());
-  std::vector<double> observed(resolved.size());
-  for (size_t i = 0; i < resolved.size(); ++i) {
-    extractor_->ExtractIntoStrided(resolved[i].page, resolved[i].post,
-                                   resolved[i].snapshot, x.MutableRowBase(i),
-                                   x.feature_stride());
-    observed[i] = static_cast<double>(resolved[i].snapshot.views().total);
-  }
-  const std::vector<double> deltas(resolved.size(), request.delta);
+  // item: one vectorized-forest pass per model over the column-major
+  // batch, with no transposition pass.
+  const std::vector<double> deltas(ids.size(), request.delta);
   std::vector<double> alphas;
   const std::vector<double> counts =
       model_->PredictCountBatch(x, observed, deltas, &alphas);
 
-  response.results.reserve(resolved.size());
-  for (size_t i = 0; i < resolved.size(); ++i) {
+  response.results.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
     response.results.push_back(
-        {resolved[i].id, PredictionResult{observed[i], counts[i], alphas[i]}});
+        {ids[i], PredictionResult{observed[i], counts[i], alphas[i]}});
   }
   if (request.top_k > 0 && response.results.size() > request.top_k) {
     std::partial_sort(response.results.begin(),
@@ -563,19 +572,27 @@ StatusOr<QueryResponse> PredictionService::QueryByIds(
 
 std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     const Shard& shard, double s, double delta, size_t k) const {
-  struct Candidate {
-    int64_t id;
-    stream::TrackerSnapshot snapshot;
-    datagen::PageProfile page;
-    datagen::PostProfile post;
-  };
-  std::vector<Candidate> candidates;
+  // Extract every live item straight into its row of one SoA batch under
+  // the shard lock / epoch guard (see QueryByIds), then batch the whole
+  // shard through the vectorized forests outside it.
+  const size_t width = extractor_->schema().size();
+  gbdt::ExampleBatch x;
+  std::vector<int64_t> ids;
+  std::vector<double> observed;
   const auto collect = [&](const ItemMap& items) {
-    candidates.reserve(items.size());
+    x = gbdt::ExampleBatch(items.size(), width);
+    ids.reserve(items.size());
+    observed.reserve(items.size());
+    stream::TrackerSnapshot snapshot;
     for (const auto& [id, ptr] : items) {
       const Item& item = *ptr;
       if (s < item.tracker.creation_time()) continue;  // not yet live
-      candidates.push_back({id, item.tracker.Snapshot(s), item.page, item.post});
+      item.tracker.SnapshotInto(s, &snapshot);
+      extractor_->ExtractIntoStrided(item.page, item.post, snapshot,
+                                     x.MutableRowBase(ids.size()),
+                                     x.feature_stride());
+      ids.push_back(id);
+      observed.push_back(static_cast<double>(snapshot.views().total));
     }
   };
   if (async_) {
@@ -590,22 +607,14 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     MutexLock lock(shard.mu);
     collect(shard.items);
   }
-  if (candidates.empty()) return {};
+  if (ids.empty()) return {};
+  x.TruncateRows(ids.size());
 
-  // Batch the whole shard through the vectorized forests in one pass,
-  // extracting straight into the SoA layout the kernels read.
-  const size_t width = extractor_->schema().size();
-  gbdt::ExampleBatch x(candidates.size(), width);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    extractor_->ExtractIntoStrided(candidates[i].page, candidates[i].post,
-                                   candidates[i].snapshot, x.MutableRowBase(i),
-                                   x.feature_stride());
-  }
   const std::vector<double> increments = model_->PredictIncrementBatch(x, delta);
 
   // Keep only the shard's k best; the winners carry their feature rows so
   // the merge step can finish the full prediction without re-extracting.
-  std::vector<size_t> order(candidates.size());
+  std::vector<size_t> order(ids.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   const size_t take = std::min(k, order.size());
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(take),
@@ -618,10 +627,7 @@ std::vector<PredictionService::ScanCandidate> PredictionService::ShardScanTopK(
     const size_t idx = order[i];
     std::vector<float> row(width);
     x.CopyRowTo(idx, row.data());
-    out.push_back(
-        {candidates[idx].id,
-         static_cast<double>(candidates[idx].snapshot.views().total),
-         increments[idx], std::move(row)});
+    out.push_back({ids[idx], observed[idx], increments[idx], std::move(row)});
   }
   return out;
 }
@@ -731,39 +737,76 @@ size_t PredictionService::RetireDeadItems(double now) {
   // decision sees every event the caller has been acknowledged for --
   // exactly what the synchronous service would have seen.
   DrainAllQueues();
+  const size_t width = extractor_->schema().size();
   std::atomic<size_t> retired_total{0};
   ParallelFor(shards_.size(), 1, [&](size_t begin, size_t end) {
-    std::vector<float> row(extractor_->schema().size());
-    const auto dead = [&](const Item& item) {
-      if (now < item.tracker.creation_time()) {
-        return false;  // not yet live; nothing to retire
-      }
-      const auto snapshot = item.tracker.Snapshot(now);
-      const auto& views = snapshot.views();
-      if (views.last_event_age >= 0.0) {
-        const double idle = snapshot.age - views.last_event_age;
-        if (idle >= config_.idle_retirement_age) return true;
-      } else if (snapshot.age >= config_.idle_retirement_age) {
-        return true;  // never received a single view
-      }
-      if (views.ewma_rate > 0.0) {
-        // Eager retirement: with the EWMA rate as the lambda(now) proxy
-        // and the model's alpha as the decay scale, the probability that
-        // the cascade produces no further views (Appendix A.14, u = 0
-        // transform) exceeds the threshold.
-        extractor_->ExtractInto(item.page, item.post, snapshot, row.data());
-        const double alpha = model_->PredictAlpha(row.data());
-        const double p_dead = pp::ProbabilityNoNewEvents(
-            views.ewma_rate, std::numeric_limits<double>::infinity(), alpha);
-        if (p_dead >= config_.death_probability_threshold) return true;
-      }
-      return false;
-    };
+    stream::TrackerSnapshot snapshot;
     for (size_t sh = begin; sh < end; ++sh) {
       Shard& shard = *shards_[sh];
-      MutexLock lock(shard.mu);
-      const size_t retired = ApplyRetireSweep(shard, dead);
-      if (async_ && retired > 0) PublishView(shard, epochs_);
+      // Pass 1, under the lock: the idle rule retires outright.  Every
+      // other live item with a positive view rate gets a feature row for
+      // the alpha forest, remembered with its event count.
+      gbdt::ExampleBatch x;
+      std::vector<int64_t> ids;
+      std::vector<uint64_t> events;
+      std::vector<double> rates;
+      size_t retired = 0;
+      {
+        MutexLock lock(shard.mu);
+        x = gbdt::ExampleBatch(shard.items.size(), width);
+        retired = ApplyRetireSweep(shard, [&](int64_t id, const Item& item) {
+          if (now < item.tracker.creation_time()) {
+            return false;  // not yet live; nothing to retire
+          }
+          item.tracker.SnapshotInto(now, &snapshot);
+          const auto& views = snapshot.views();
+          if (views.last_event_age >= 0.0) {
+            const double idle = snapshot.age - views.last_event_age;
+            if (idle >= config_.idle_retirement_age) return true;
+          } else if (snapshot.age >= config_.idle_retirement_age) {
+            return true;  // never received a single view
+          }
+          if (views.ewma_rate > 0.0) {
+            extractor_->ExtractIntoStrided(item.page, item.post, snapshot,
+                                           x.MutableRowBase(ids.size()),
+                                           x.feature_stride());
+            ids.push_back(id);
+            events.push_back(EventCount(item.tracker));
+            rates.push_back(views.ewma_rate);
+          }
+          return false;
+        });
+        if (async_ && retired > 0) PublishView(shard, epochs_);
+      }
+      // Pass 2, outside every lock: eager retirement.  With the EWMA rate
+      // as the lambda(now) proxy and the model's alpha as the decay scale,
+      // the probability that the cascade produces no further views
+      // (Appendix A.14, u = 0 transform) exceeds the threshold.
+      std::unordered_map<int64_t, uint64_t> doomed;
+      if (!ids.empty()) {
+        x.TruncateRows(ids.size());
+        const std::vector<double> alphas = model_->PredictAlphaBatch(x);
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const double p_dead = pp::ProbabilityNoNewEvents(
+              rates[i], std::numeric_limits<double>::infinity(), alphas[i]);
+          if (p_dead >= config_.death_probability_threshold) {
+            doomed.emplace(ids[i], events[i]);
+          }
+        }
+      }
+      // Pass 3, under the lock again: retire the doomed items, except any
+      // that took an event after it was judged.
+      if (!doomed.empty()) {
+        MutexLock lock(shard.mu);
+        const size_t eager =
+            ApplyRetireSweep(shard, [&](int64_t id, const Item& item) {
+              const auto it = doomed.find(id);
+              return it != doomed.end() &&
+                     EventCount(item.tracker) == it->second;
+            });
+        if (async_ && eager > 0) PublishView(shard, epochs_);
+        retired += eager;
+      }
       // order: relaxed; per-task tally folded after the ParallelFor
       // barrier, which supplies the happens-before edge.
       retired_total.fetch_add(retired, std::memory_order_relaxed);

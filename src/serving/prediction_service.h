@@ -25,9 +25,11 @@
 // Concurrency: the service is internally synchronized.  Item state is
 // partitioned into `num_shards` shards keyed by a mixed hash of the item
 // id; each shard has its own mutex and tracker map, so Ingest/Query from
-// different threads contend only when they hit the same shard.  Model
-// inference (feature extraction + flat-forest walks) always runs OUTSIDE
-// the shard locks, against an immutable tracker snapshot.
+// different threads contend only when they hit the same shard.  Feature
+// extraction reads the trackers in place, under the shard lock (or the
+// async epoch guard), straight into the query's feature batch; model
+// inference (the forest walks and the horizon transfer) always runs
+// OUTSIDE the shard locks, on that batch.
 //
 // Ingest modes (DESIGN.md section 13): in the default synchronous mode
 // every Ingest applies under the shard mutex, exactly the pre-async

@@ -85,9 +85,10 @@ bool ApplyRegister(Shard& shard, int64_t id, Item item)
 size_t ApplyEvents(Shard& shard, const QueuedEvent* events, size_t n,
                    size_t* dropped) HORIZON_REQUIRES(shard.mu);
 
-/// Erases every item for which `dead` returns true; returns the count.
-size_t ApplyRetireSweep(Shard& shard,
-                        const std::function<bool(const Item&)>& dead)
+/// Erases every item for which `dead(id, item)` returns true; returns the
+/// count.
+size_t ApplyRetireSweep(
+    Shard& shard, const std::function<bool(int64_t, const Item&)>& dead)
     HORIZON_REQUIRES(shard.mu);
 
 /// Removes every item (restore swap-in, step 1).

@@ -39,11 +39,11 @@ size_t ApplyEvents(Shard& shard, const QueuedEvent* events, size_t n,
   return applied;
 }
 
-size_t ApplyRetireSweep(Shard& shard,
-                        const std::function<bool(const Item&)>& dead) {
+size_t ApplyRetireSweep(
+    Shard& shard, const std::function<bool(int64_t, const Item&)>& dead) {
   size_t retired = 0;
   for (auto it = shard.items.begin(); it != shard.items.end();) {
-    if (dead(*it->second)) {
+    if (dead(it->first, *it->second)) {
       it = shard.items.erase(it);
       ++retired;
     } else {

@@ -102,6 +102,11 @@ class CascadeTracker {
   /// events).  Does not mutate logical state.
   TrackerSnapshot Snapshot(double s) const;
 
+  /// Snapshot(s) written into *out, reusing its vectors' capacity: a caller
+  /// that snapshots many items through one TrackerSnapshot allocates only
+  /// on the first.
+  void SnapshotInto(double s, TrackerSnapshot* out) const;
+
   double creation_time() const { return creation_time_; }
   const TrackerConfig& config() const { return config_; }
 
@@ -122,7 +127,8 @@ class CascadeTracker {
     explicit StreamState(const TrackerConfig& config);
 
     void Add(double age, const TrackerConfig& config);
-    StreamSnapshot Snapshot(double age, const TrackerConfig& config) const;
+    void SnapshotInto(double age, const TrackerConfig& config,
+                      StreamSnapshot* out) const;
 
     WindowBank bank;
     uint64_t total = 0;

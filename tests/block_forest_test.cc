@@ -92,6 +92,28 @@ TEST(BlockForestTest, ColumnMajorBatchMatchesRowMajorBitExact) {
   }
 }
 
+TEST(BlockForestTest, TruncatedBatchKeepsLeadingRows) {
+  const GbdtRegressor model = TrainRandomModel(19, /*num_trees=*/20);
+  const DataMatrix x = RandomMatrix(37, model.num_features(), 23);
+  ExampleBatch soa(x.num_rows(), x.num_features());
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    for (size_t f = 0; f < x.num_features(); ++f) soa.Set(r, f, x.Get(r, f));
+  }
+  for (size_t keep : {37u, 30u, 9u, 1u, 0u}) {
+    soa.TruncateRows(keep);
+    ASSERT_EQ(soa.num_rows(), keep);
+    ASSERT_EQ(soa.feature_stride(), keep);
+    for (size_t r = 0; r < keep; ++r) {
+      for (size_t f = 0; f < x.num_features(); ++f) {
+        ASSERT_EQ(soa.Get(r, f), x.Get(r, f)) << r << "," << f;
+      }
+    }
+    const std::vector<double> got = model.PredictBatch(soa);
+    ASSERT_EQ(got.size(), keep);
+    for (size_t r = 0; r < keep; ++r) ASSERT_EQ(got[r], model.Predict(x.Row(r)));
+  }
+}
+
 TEST(BlockForestTest, RegressorBatchPathsAreBitExactVsPerRowPredict) {
   const GbdtRegressor model = TrainRandomModel(13);
   const DataMatrix x = RandomMatrix(777, model.num_features(), 21);

@@ -125,6 +125,39 @@ TEST(CascadeTrackerTest, SnapshotAgeIsRelativeToCreation) {
   EXPECT_DOUBLE_EQ(snap.age, 10.0);
 }
 
+void ExpectSameSnapshot(const TrackerSnapshot& a, const TrackerSnapshot& b) {
+  EXPECT_EQ(a.age, b.age);
+  for (int t = 0; t < kNumEngagementTypes; ++t) {
+    const StreamSnapshot& x = a.streams[t];
+    const StreamSnapshot& y = b.streams[t];
+    EXPECT_EQ(x.total, y.total) << t;
+    EXPECT_EQ(x.window_counts, y.window_counts) << t;
+    EXPECT_EQ(x.window_rates, y.window_rates) << t;
+    EXPECT_EQ(x.landmark_counts, y.landmark_counts) << t;
+    EXPECT_EQ(x.ewma_rate, y.ewma_rate) << t;
+    EXPECT_EQ(x.mean_event_age, y.mean_event_age) << t;
+    EXPECT_EQ(x.first_event_age, y.first_event_age) << t;
+    EXPECT_EQ(x.last_event_age, y.last_event_age) << t;
+  }
+}
+
+TEST(CascadeTrackerTest, SnapshotIntoReusedBufferMatchesSnapshot) {
+  // One buffer carried across trackers and times, as the serving query
+  // paths carry it across items: nothing of an earlier item may leak in.
+  CascadeTracker busy(0.0, SmallConfig());
+  for (double t = 0.5; t < 80.0; t += 0.75) {
+    busy.Observe(static_cast<EngagementType>(static_cast<int>(t) % 4), t);
+  }
+  const CascadeTracker empty(20.0, SmallConfig());
+  TrackerSnapshot reused;
+  for (double s : {80.0, 120.0}) {
+    busy.SnapshotInto(s, &reused);
+    ExpectSameSnapshot(reused, busy.Snapshot(s));
+    empty.SnapshotInto(s, &reused);
+    ExpectSameSnapshot(reused, empty.Snapshot(s));
+  }
+}
+
 TEST(EngagementTypeTest, Names) {
   EXPECT_STREQ(EngagementTypeName(EngagementType::kView), "view");
   EXPECT_STREQ(EngagementTypeName(EngagementType::kShare), "share");

@@ -176,6 +176,31 @@ TEST_F(PredictionServiceTest, RetiresIdleItems) {
   EXPECT_EQ(service.stats().items_retired, 1u);
 }
 
+TEST_F(PredictionServiceTest, RetiresEagerlyWhenFurtherViewsAreUnlikely) {
+  // Far inside the idle age, so only the death-probability rule (alpha
+  // forest over the item's features) can retire anything.
+  ServiceConfig config;
+  config.idle_retirement_age = 60 * kDay;
+  PredictionService service = MakeService(config);
+  const auto& cascade = dataset_->cascades[0];
+  const auto& page = dataset_->PageOf(cascade.post);
+  const double now = 3 * kDay;
+  ASSERT_TRUE(service.RegisterItem(1, 0.0, page, cascade.post).ok());  // decayed
+  ASSERT_TRUE(service.RegisterItem(2, 0.0, page, cascade.post).ok());  // busy
+  ASSERT_TRUE(service.RegisterItem(3, 0.0, page, cascade.post).ok());  // no views
+  ASSERT_TRUE(service.Ingest(1, stream::EngagementType::kView, 1 * kHour).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(service.Ingest(2, stream::EngagementType::kView, now - 200.0 + i).ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+
+  EXPECT_EQ(service.RetireDeadItems(now), 1u);
+  EXPECT_FALSE(service.HasItem(1));
+  EXPECT_TRUE(service.HasItem(2));
+  EXPECT_TRUE(service.HasItem(3));
+  EXPECT_EQ(service.LiveItems(), 2u);
+}
+
 TEST_F(PredictionServiceTest, NotYetLiveItemsAreInvisible) {
   // Items created in the future must not be queryable, must be skipped by
   // TopK, and must not be retired before they go live.
