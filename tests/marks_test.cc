@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,19 @@ namespace {
 
 // Property sweep: every mark distribution's empirical first and second
 // moments must match its declared Mean() / SecondMoment().
-class MarkMomentsTest
-    : public ::testing::TestWithParam<std::shared_ptr<const MarkDistribution>> {};
+struct MarkCase {
+  const char* name;
+  std::shared_ptr<const MarkDistribution> dist;
+};
+
+// gtest_discover_tests names each case after its printed value; printing the
+// case name keeps those names free of heap addresses and stable across builds.
+void PrintTo(const MarkCase& c, std::ostream* os) { *os << c.name; }
+
+class MarkMomentsTest : public ::testing::TestWithParam<MarkCase> {};
 
 TEST_P(MarkMomentsTest, EmpiricalMomentsMatchDeclared) {
-  const auto& dist = *GetParam();
+  const auto& dist = *GetParam().dist;
   Rng rng(123);
   const int n = 400000;
   double sum = 0.0, sum_sq = 0.0;
@@ -34,11 +43,12 @@ TEST_P(MarkMomentsTest, EmpiricalMomentsMatchDeclared) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, MarkMomentsTest,
-    ::testing::Values(std::make_shared<ConstantMark>(0.7),
-                      std::make_shared<ExponentialMark>(0.5),
-                      std::make_shared<LogNormalMark>(0.6, 0.8),
-                      std::make_shared<LogNormalMark>(0.3, 1.2),
-                      std::make_shared<ParetoMark>(0.5, 3.5)));
+    ::testing::Values(
+        MarkCase{"constant", std::make_shared<ConstantMark>(0.7)},
+        MarkCase{"exponential", std::make_shared<ExponentialMark>(0.5)},
+        MarkCase{"lognormal", std::make_shared<LogNormalMark>(0.6, 0.8)},
+        MarkCase{"lognormal_heavy", std::make_shared<LogNormalMark>(0.3, 1.2)},
+        MarkCase{"pareto", std::make_shared<ParetoMark>(0.5, 3.5)}));
 
 TEST(ConstantMarkTest, AlwaysSameValue) {
   ConstantMark mark(0.42);
